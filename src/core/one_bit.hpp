@@ -23,9 +23,9 @@
 // one-bit estimate of the mean sign — with zero bit-width growth.
 //
 // The `*_words` / `*_into` variants combine **in place** (a ⊙= b): the
-// RAR/TAR/tree reduction chains in core/sync_strategy.cpp fold M workers
-// without allocating a fresh BitVector per hop, and the word-span form lets
-// the sharded pipeline fold one word-aligned chunk at a time.  All variants
+// reduction chains of core/segmented_fold.cpp fold M workers without
+// allocating a fresh BitVector per hop, and the word-span form lets the
+// sharded pipeline fold one word-aligned chunk at a time.  All variants
 // consume rng identically (one exact Bernoulli word per 64 elements), so
 // in-place and allocating folds are bit-identical at equal seeds.
 #pragma once
@@ -71,9 +71,9 @@ void one_bit_fold_into(std::vector<BitVector>& signs, Rng& rng);
 //
 // `bernoulli_word` consumes a *variable* number of raw generator words per
 // call (bit-plane rejection, ~8 on average), so a single sequential stream
-// cannot be fast-forwarded to "the rng state at segment s, hop k".  That is
-// what forced PR 7's socket worker to all-gather and fold locally.  The
-// segment-seeded discipline removes the sequential dependency: every
+// cannot be fast-forwarded to "the rng state at segment s, hop k": a rank
+// could only fold after gathering every sign vector.  The segment-seeded
+// discipline removes the sequential dependency: every
 // (segment, fold-op) pair gets its own short-lived generator,
 //
 //   segment_seed = segment_fold_seed(round_seed, segment_index)

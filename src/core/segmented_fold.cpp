@@ -35,60 +35,46 @@ std::vector<TreeMerge> tree_merge_schedule(std::size_t count) {
   return merges;
 }
 
-void segmented_ring_fold(std::vector<BitVector>& signs, std::size_t count,
-                         std::size_t num_words, std::uint64_t round_seed) {
-  MARSIT_CHECK(count > 0 && count <= signs.size())
-      << "segmented_ring_fold over " << count << " of " << signs.size();
+std::size_t survivor_torus_rows(std::size_t cols, std::size_t survivors) {
+  return cols > 0 && survivors % cols == 0 && survivors / cols >= 2
+             ? survivors / cols
+             : 0;
+}
+
+namespace {
+
+void ring_steps(std::vector<FoldStep>& steps, std::size_t count,
+                std::size_t num_words) {
   // Chain for segment s accumulates in signs[s]'s own segment-s words — the
   // buffer the chain-starting rank would hold on the wire.  Chains touch
-  // disjoint (vector, word-range) pairs, so any execution order matches.
+  // disjoint (vector, word-range) pairs, so their order is immaterial.
   for (std::size_t s = 0; s < count; ++s) {
     const WordSegment seg = word_segment(num_words, count, s);
     if (seg.count == 0) continue;
-    const std::uint64_t seg_seed = segment_fold_seed(round_seed, s);
-    const auto acc = signs[s].words().subspan(seg.begin, seg.count);
     for (std::size_t k = 0; k + 1 < count; ++k) {
-      const std::size_t b = (s + k + 1) % count;
-      Rng rng = segment_op_rng(seg_seed, k);
-      one_bit_combine_words(
-          acc, k + 1, signs[b].words().subspan(seg.begin, seg.count), 1, rng);
+      steps.push_back({s, (s + k + 1) % count, seg, k + 1, 1, s, k, false});
     }
   }
   // Local image of the all-gather phase: finalized segments move into
-  // signs.front() so downstream unpacking reads one vector, exactly as with
-  // the legacy fold.
+  // signs.front() so downstream unpacking reads one vector.
   for (std::size_t s = 1; s < count; ++s) {
     const WordSegment seg = word_segment(num_words, count, s);
-    if (seg.count == 0) continue;
-    const auto src = signs[s].words().subspan(seg.begin, seg.count);
-    const auto dst = signs[0].words().subspan(seg.begin, seg.count);
-    std::copy(src.begin(), src.end(), dst.begin());
+    if (seg.count > 0) steps.push_back({0, s, seg, 0, 0, 0, 0, true});
   }
 }
 
-void segmented_torus_fold(std::vector<BitVector>& signs, std::size_t count,
-                          std::size_t rows, std::size_t cols,
-                          std::size_t num_words, std::uint64_t round_seed) {
-  MARSIT_CHECK(rows > 0 && cols > 0 && rows * cols == count)
-      << "torus " << rows << "x" << cols << " does not tile " << count;
-  MARSIT_CHECK(count <= signs.size())
-      << "segmented_torus_fold over " << count << " of " << signs.size();
+void torus_steps(std::vector<FoldStep>& steps, std::size_t rows,
+                 std::size_t cols, std::size_t num_words) {
+  const std::size_t count = rows * cols;
   // Phase A — row reduce-scatter: within row r, segment j's chain starts at
   // column j and accumulates in signs[r·cols + j].
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t j = 0; j < cols; ++j) {
       const WordSegment seg = word_segment(num_words, cols, j);
       if (seg.count == 0) continue;
-      const std::uint64_t seg_seed =
-          segment_fold_seed(round_seed, r * cols + j);
-      const auto acc = signs[r * cols + j].words().subspan(seg.begin,
-                                                           seg.count);
       for (std::size_t k = 0; k + 1 < cols; ++k) {
-        const std::size_t b = r * cols + (j + k + 1) % cols;
-        Rng rng = segment_op_rng(seg_seed, k);
-        one_bit_combine_words(
-            acc, k + 1, signs[b].words().subspan(seg.begin, seg.count), 1,
-            rng);
+        steps.push_back({r * cols + j, r * cols + (j + k + 1) % cols, seg,
+                         k + 1, 1, r * cols + j, k, false});
       }
     }
   }
@@ -96,99 +82,117 @@ void segmented_torus_fold(std::vector<BitVector>& signs, std::size_t count,
   // cols after phase A; its rows-sized chains merge whole-row aggregates, so
   // weights are multiples of cols.  Row i's aggregate of segment j lives in
   // signs[i·cols + j] (where its phase-A chain accumulated).
+  const auto sub_segment = [&](std::size_t c, std::size_t i) {
+    const WordSegment seg = word_segment(num_words, cols, (c + 1) % cols);
+    const WordSegment sub = word_segment(seg.count, rows, i);
+    return WordSegment{seg.begin + sub.begin, sub.count};
+  };
   for (std::size_t c = 0; c < cols; ++c) {
     const std::size_t j = (c + 1) % cols;
-    const WordSegment seg = word_segment(num_words, cols, j);
     for (std::size_t i = 0; i < rows; ++i) {
-      const WordSegment sub = word_segment(seg.count, rows, i);
+      const WordSegment sub = sub_segment(c, i);
       if (sub.count == 0) continue;
-      const std::uint64_t seg_seed =
-          segment_fold_seed(round_seed, count + c * rows + i);
-      const auto acc = signs[i * cols + j].words().subspan(
-          seg.begin + sub.begin, sub.count);
       for (std::size_t k = 0; k + 1 < rows; ++k) {
-        const std::size_t b_row = (i + k + 1) % rows;
-        Rng rng = segment_op_rng(seg_seed, k);
-        one_bit_combine_words(acc, (k + 1) * cols,
-                              signs[b_row * cols + j].words().subspan(
-                                  seg.begin + sub.begin, sub.count),
-                              cols, rng);
+        steps.push_back({i * cols + j, ((i + k + 1) % rows) * cols + j, sub,
+                         (k + 1) * cols, cols, count + c * rows + i, k,
+                         false});
       }
     }
   }
   // Local image of phases C/D (column then row all-gather).
   for (std::size_t c = 0; c < cols; ++c) {
     const std::size_t j = (c + 1) % cols;
-    const WordSegment seg = word_segment(num_words, cols, j);
     for (std::size_t i = 0; i < rows; ++i) {
-      const WordSegment sub = word_segment(seg.count, rows, i);
-      if (sub.count == 0 || i * cols + j == 0) continue;
-      const auto src = signs[i * cols + j].words().subspan(
-          seg.begin + sub.begin, sub.count);
-      const auto dst =
-          signs[0].words().subspan(seg.begin + sub.begin, sub.count);
-      std::copy(src.begin(), src.end(), dst.begin());
+      const WordSegment sub = sub_segment(c, i);
+      if (sub.count > 0 && i * cols + j != 0) {
+        steps.push_back({0, i * cols + j, sub, 0, 0, 0, 0, true});
+      }
     }
   }
 }
 
-void segmented_chain_fold(std::vector<BitVector>& signs, std::size_t count,
-                          std::size_t num_words, std::uint64_t round_seed) {
-  MARSIT_CHECK(count > 0 && count <= signs.size())
-      << "segmented_chain_fold over " << count << " of " << signs.size();
-  const std::uint64_t seg_seed = segment_fold_seed(round_seed, 0);
-  const auto acc = signs[0].words().subspan(0, num_words);
-  for (std::size_t k = 0; k + 1 < count; ++k) {
-    Rng rng = segment_op_rng(seg_seed, k);
-    one_bit_combine_words(
-        acc, k + 1, signs[k + 1].words().subspan(0, num_words), 1, rng);
+}  // namespace
+
+std::vector<FoldStep> segmented_fold_steps(MarParadigm paradigm,
+                                           std::size_t torus_cols,
+                                           std::size_t count,
+                                           std::size_t num_words) {
+  MARSIT_CHECK(count > 0) << "segmented fold over zero ranks";
+  std::vector<FoldStep> steps;
+  if (count == 1) return steps;
+  const WordSegment whole{0, num_words};
+  switch (paradigm) {
+    case MarParadigm::kTorus2d:
+      if (const std::size_t rows = survivor_torus_rows(torus_cols, count)) {
+        torus_steps(steps, rows, torus_cols, num_words);
+      } else {
+        ring_steps(steps, count, num_words);
+      }
+      break;
+    case MarParadigm::kParameterServer:
+      // The server chain-folds workers in rank order, one whole-payload
+      // segment, one derived generator per hop.
+      for (std::size_t k = 0; k + 1 < count; ++k) {
+        steps.push_back({0, k + 1, whole, k + 1, 1, 0, k, false});
+      }
+      break;
+    case MarParadigm::kTree:
+      for (const TreeMerge& merge : tree_merge_schedule(count)) {
+        steps.push_back({merge.dst, merge.src, whole, merge.dst_weight,
+                         merge.src_weight, 0, merge.op, false});
+      }
+      break;
+    case MarParadigm::kRing:
+      ring_steps(steps, count, num_words);
+      break;
+  }
+  return steps;
+}
+
+void seed_fold_rngs(std::span<const FoldStep> steps, std::uint64_t round_seed,
+                    std::vector<Rng>& rngs) {
+  rngs.resize(steps.size());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    if (!steps[i].copy) {
+      rngs[i] = segment_op_rng(segment_fold_seed(round_seed, steps[i].segment),
+                               steps[i].op);
+    }
   }
 }
 
-void segmented_tree_fold(std::vector<BitVector>& signs, std::size_t count,
-                         std::size_t num_words, std::uint64_t round_seed) {
-  MARSIT_CHECK(count > 0 && count <= signs.size())
-      << "segmented_tree_fold over " << count << " of " << signs.size();
-  const std::uint64_t seg_seed = segment_fold_seed(round_seed, 0);
-  for (const TreeMerge& merge : tree_merge_schedule(count)) {
-    Rng rng = segment_op_rng(seg_seed, merge.op);
-    one_bit_combine_words(signs[merge.dst].words().subspan(0, num_words),
-                          merge.dst_weight,
-                          signs[merge.src].words().subspan(0, num_words),
-                          merge.src_weight, rng);
+void run_fold_steps(std::span<const FoldStep> steps, std::span<Rng> rngs,
+                    std::vector<BitVector>& signs, std::size_t w0,
+                    std::size_t nw) {
+  MARSIT_CHECK(rngs.size() == steps.size())
+      << rngs.size() << " generators for " << steps.size() << " fold steps";
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const FoldStep& step = steps[i];
+    const std::size_t lo = std::max(step.words.begin, w0);
+    const std::size_t hi =
+        std::min(step.words.begin + step.words.count, w0 + nw);
+    if (lo >= hi) continue;
+    const auto dst = signs[step.dst].words().subspan(lo, hi - lo);
+    const auto src = signs[step.src].words().subspan(lo, hi - lo);
+    if (step.copy) {
+      std::copy(src.begin(), src.end(), dst.begin());
+    } else {
+      one_bit_combine_words(dst, step.dst_weight, src, step.src_weight,
+                            rngs[i]);
+    }
   }
 }
 
-void marsit_fold_signs_segmented(MarParadigm paradigm, std::size_t torus_rows,
-                                 std::size_t torus_cols,
+void marsit_fold_signs_segmented(MarParadigm paradigm, std::size_t torus_cols,
                                  std::vector<BitVector>& signs,
                                  std::size_t count, std::size_t num_words,
                                  std::uint64_t round_seed) {
   MARSIT_CHECK(count > 0 && count <= signs.size())
       << "segmented fold over " << count << " of " << signs.size();
-  if (count == 1) return;
-  switch (paradigm) {
-    case MarParadigm::kTorus2d:
-      if (torus_rows * torus_cols == count) {
-        segmented_torus_fold(signs, count, torus_rows, torus_cols, num_words,
-                             round_seed);
-      } else {
-        // Survivors no longer tile the torus: re-form as a segmented ring,
-        // the same degradation the wire schedule applies (DESIGN.md §14).
-        segmented_ring_fold(signs, count, num_words, round_seed);
-      }
-      return;
-    case MarParadigm::kParameterServer:
-      segmented_chain_fold(signs, count, num_words, round_seed);
-      return;
-    case MarParadigm::kTree:
-      segmented_tree_fold(signs, count, num_words, round_seed);
-      return;
-    case MarParadigm::kRing:
-      segmented_ring_fold(signs, count, num_words, round_seed);
-      return;
-  }
-  segmented_ring_fold(signs, count, num_words, round_seed);
+  const std::vector<FoldStep> steps =
+      segmented_fold_steps(paradigm, torus_cols, count, num_words);
+  std::vector<Rng> rngs;
+  seed_fold_rngs(steps, round_seed, rngs);
+  run_fold_steps(steps, rngs, signs, 0, num_words);
 }
 
 }  // namespace marsit

@@ -5,7 +5,6 @@
 
 #include "compress/kernels.hpp"
 #include "compress/sign_codec.hpp"
-#include "core/one_bit.hpp"
 #include "core/segmented_fold.hpp"
 #include "net/crc32.hpp"
 #include "obs/metrics.hpp"
@@ -29,16 +28,6 @@ const char* mar_paradigm_name(MarParadigm paradigm) {
       return "PS";
     case MarParadigm::kTree:
       return "TREE";
-  }
-  return "?";
-}
-
-const char* sync_mode_name(SyncMode mode) {
-  switch (mode) {
-    case SyncMode::kLegacyAllGather:
-      return "all-gather";
-    case SyncMode::kReduceScatter:
-      return "reduce-scatter";
   }
   return "?";
 }
@@ -289,18 +278,11 @@ CollectiveTiming SyncStrategy::base_collective_timing(std::size_t d,
     case MarParadigm::kTorus2d:
       // A degraded torus re-forms as a smaller torus while the survivors
       // still fill whole rows, else the round runs as a ring of survivors.
-      if (m == config_.num_workers) {
-        MARSIT_VALIDATE_CALL(validate::torus_shape(config_.torus_rows,
-                                                   config_.torus_cols, m));
-        return torus_allreduce_timing(config_.torus_rows, config_.torus_cols,
-                                      d, wire, net, start_time);
-      }
-      if (m % config_.torus_cols == 0 && m / config_.torus_cols >= 2) {
+      if (const std::size_t rows =
+              survivor_torus_rows(config_.torus_cols, m)) {
         MARSIT_VALIDATE_CALL(
-            validate::torus_shape(m / config_.torus_cols, config_.torus_cols,
-                                  m));
-        return torus_allreduce_timing(m / config_.torus_cols,
-                                      config_.torus_cols, d, wire, net,
+            validate::torus_shape(rows, config_.torus_cols, m));
+        return torus_allreduce_timing(rows, config_.torus_cols, d, wire, net,
                                       start_time);
       }
       return ring_allreduce_timing(m, d, wire, net, start_time);
@@ -372,12 +354,16 @@ SyncStepResult PsgdSync::do_synchronize(const WorkerSpans& inputs,
 
 // --- shared sign-sum plumbing ----------------------------------------------
 
+namespace {
+
+/// Per-chunk rng stream of a sharded majority round.  Chunk 0 continues the
+/// round stream itself — a payload that fits in one chunk therefore
+/// consumes rng exactly like a serial implementation — and later chunks
+/// split off independent derived streams.
 Rng marsit_chunk_rng(std::uint64_t round_seed, std::size_t chunk_index) {
   return Rng(chunk_index == 0 ? round_seed
                               : derive_seed(round_seed, chunk_index));
 }
-
-namespace {
 
 bool elias_refresh_due(const SyncConfig& config, std::size_t round,
                        const std::vector<double>& elias_cache) {
@@ -897,66 +883,6 @@ void MarsitSync::mean_compensation_into(std::span<float> out) const {
   scale(out, 1.0f / static_cast<float>(compensation_.size()));
 }
 
-void marsit_fold_signs_words(MarParadigm paradigm, std::size_t torus_cols,
-                             std::vector<BitVector>& signs, std::size_t count,
-                             std::size_t word_begin, std::size_t num_words,
-                             Rng& rng) {
-  const auto words_of = [&](std::size_t i) {
-    return signs[i].words().subspan(word_begin, num_words);
-  };
-  if (paradigm == MarParadigm::kTree) {
-    // Binomial-tree reduction: level-l merges combine aggregates of equal
-    // weight 2^l (plus a possibly lighter tail aggregate).  The structure
-    // is defined for any count, so a degraded tree just shrinks.
-    std::vector<std::size_t> weights(count, 1);
-    for (std::size_t stride = 1; stride < count; stride *= 2) {
-      for (std::size_t i = 0; i + stride < count; i += 2 * stride) {
-        one_bit_combine_words(words_of(i), weights[i], words_of(i + stride),
-                              weights[i + stride], rng);
-        weights[i] += weights[i + stride];
-      }
-    }
-    return;
-  }
-  if (paradigm == MarParadigm::kTorus2d) {
-    // Row folds (weights 1..len within each row), then weighted column
-    // merges of whole-row aggregates — the torus reduction structure.  The
-    // row aggregate accumulates in the row's first vector; rows merge into
-    // signs[0] carrying their true accumulated weights, so a degraded round
-    // (count < rows·cols) re-forms as ragged rows of torus_cols survivors
-    // with the last row possibly short — the weighted ⊙ stays unbiased for
-    // any merge shape.  With full membership this is exactly the original
-    // rows×cols schedule.
-    const std::size_t cols = torus_cols;
-    std::size_t merged_weight = 0;
-    for (std::size_t base = 0; base < count; base += cols) {
-      const std::size_t len = std::min(cols, count - base);
-      for (std::size_t c = 1; c < len; ++c) {
-        one_bit_combine_words(words_of(base), c, words_of(base + c), 1, rng);
-      }
-      if (base == 0) {
-        merged_weight = len;
-      } else {
-        one_bit_combine_words(words_of(0), merged_weight, words_of(base), len,
-                              rng);
-        merged_weight += len;
-      }
-    }
-    return;
-  }
-  // Ring: sequential chain fold into signs[0].
-  for (std::size_t m = 1; m < count; ++m) {
-    one_bit_combine_words(words_of(0), m, words_of(m), 1, rng);
-  }
-}
-
-void MarsitSync::fold_signs_words(std::vector<BitVector>& signs,
-                                  std::size_t count, std::size_t word_begin,
-                                  std::size_t num_words, Rng& rng) const {
-  marsit_fold_signs_words(config_.paradigm, config_.torus_cols, signs, count,
-                          word_begin, num_words, rng);
-}
-
 SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
                                           std::span<float> out) {
   const std::size_t d = out.size();
@@ -1009,79 +935,71 @@ SyncStepResult MarsitSync::do_synchronize(const WorkerSpans& inputs,
   // One-bit round, sharded over word-aligned chunks: each chunk runs the
   // whole of Algorithm 1's lines 1 and 4–10 — compensation fold-in, sign
   // packing, the ⊙ reduction, unpacking, and the compensation update —
-  // chunk-locally, with an rng stream derived from (seed, round, chunk) so
-  // the result is bit-identical for any pool size.  Survivors pack into
-  // signs_[0..s): the fold re-forms over them with the same rng stream a
-  // native s-worker run would consume, so a degraded M-worker ring matches
-  // an s-worker ring bit-for-bit.
+  // chunk-locally.  Survivors pack into signs_[0..s): the fold re-forms
+  // over them, so a degraded round matches a native s-worker run
+  // bit-for-bit.
   if (signs_.empty() || signs_.front().size() != d) {
     signs_.assign(m, BitVector(d));
   }
-  const std::uint64_t round_seed = derive_seed(config_.seed, round_);
+  const std::size_t num_words = signs_.front().words().size();
+  if (fold_survivors_ != s || fold_words_ != num_words) {
+    fold_steps_ = segmented_fold_steps(config_.paradigm, config_.torus_cols,
+                                       s, num_words);
+    fold_survivors_ = s;
+    fold_words_ = num_words;
+  }
+  seed_fold_rngs(fold_steps_, derive_seed(config_.seed, round_), fold_rngs_);
   const ShardPlan plan(d, config_.shard_chunk_elements);
   MARSIT_VALIDATE_CALL(validate_shard_plan(plan));
   // Three-lane pipeline mirroring the wire's pack → transfer → fold shape:
   // chunk c+1 packs while chunk c runs its ⊙ reduction and chunk c−1
-  // unpacks/compensates.  Sign packing consumes no rng, so creating the
-  // chunk's stream at the head of the fold stage draws exactly the values
-  // the old single-loop body drew — outputs stay bit-identical.
-  // Line 1 of Algorithm 1: fold the compensation into the update and
-  // pack the signs, per survivor.
-  const PipelineStage pack_stage{[&](std::size_t c, ScratchArena& /*arena*/) {
-    const Shard shard = plan.chunk(c);
-    const std::size_t n = shard.size();
-    const std::size_t w0 = shard.word_begin();
-    const std::size_t nw = shard.num_words();
-    for (std::size_t i = 0; i < s; ++i) {
-      const std::size_t w = active[i];
-      const auto adjusted_chunk = adjusted_[w].span().subspan(shard.begin, n);
-      add(inputs[w].subspan(shard.begin, n),
-          compensation_[w].span().subspan(shard.begin, n), adjusted_chunk);
-      kernels::pack_signs_words(adjusted_chunk,
-                                signs_[i].words().subspan(w0, nw));
-    }
-  }};
-  // Lines 4–8 (legacy mode): the ⊙ reduction, in place over this chunk's
-  // words, with the chunk's own rng stream.
-  const PipelineStage fold_stage{[&](std::size_t c, ScratchArena& /*arena*/) {
-    const Shard shard = plan.chunk(c);
-    Rng rng = marsit_chunk_rng(round_seed, c);
-    fold_signs_words(signs_, s, shard.word_begin(), shard.num_words(), rng);
-  }};
-  // Lines 9–10: g_t = eta_s · sign-vector; c_{t+1}^{(m)} = g_t^{(m)} − g_t.
-  const PipelineStage unpack_stage{[&](std::size_t c,
-                                       ScratchArena& /*arena*/) {
-    const Shard shard = plan.chunk(c);
-    const std::size_t n = shard.size();
-    const auto out_chunk = out.subspan(shard.begin, n);
-    kernels::unpack_signs_words(
-        signs_.front().words().subspan(shard.word_begin(),
-                                       shard.num_words()),
-        options_.eta_s, out_chunk);
-    if (options_.use_compensation) {
-      for (const std::size_t w : active) {
-        sub(adjusted_[w].span().subspan(shard.begin, n), out_chunk,
-            compensation_[w].span().subspan(shard.begin, n));
-      }
-    }
-  }};
-  if (config_.sync_mode == SyncMode::kReduceScatter) {
-    // Reduce-scatter rounds keep the pack and unpack stages chunk-parallel
-    // (they consume no rng), but fold once over the full word range: the
-    // segment-seeded chains partition the words by fabric segment — the
-    // reduce-scatter ownership grid — not by shard chunk.
-    const PipelineStage pack_only[] = {pack_stage};
-    run_chunk_pipeline(strategy_pool(config_), plan.num_chunks(), pack_only);
-    marsit_fold_signs_segmented(config_.paradigm, config_.torus_rows,
-                                config_.torus_cols, signs_, s,
-                                signs_.front().words().size(), round_seed);
-    const PipelineStage unpack_only[] = {unpack_stage};
-    run_chunk_pipeline(strategy_pool(config_), plan.num_chunks(),
-                       unpack_only);
-  } else {
-    const PipelineStage stages[] = {pack_stage, fold_stage, unpack_stage};
-    run_chunk_pipeline(strategy_pool(config_), plan.num_chunks(), stages);
-  }
+  // unpacks/compensates.
+  const PipelineStage stages[] = {
+      // Line 1 of Algorithm 1: fold the compensation into the update and
+      // pack the signs, per survivor.
+      {[&](std::size_t c, ScratchArena& /*arena*/) {
+        const Shard shard = plan.chunk(c);
+        const std::size_t n = shard.size();
+        const std::size_t w0 = shard.word_begin();
+        const std::size_t nw = shard.num_words();
+        for (std::size_t i = 0; i < s; ++i) {
+          const std::size_t w = active[i];
+          const auto adjusted_chunk =
+              adjusted_[w].span().subspan(shard.begin, n);
+          add(inputs[w].subspan(shard.begin, n),
+              compensation_[w].span().subspan(shard.begin, n),
+              adjusted_chunk);
+          kernels::pack_signs_words(adjusted_chunk,
+                                    signs_[i].words().subspan(w0, nw));
+        }
+      }},
+      // Lines 4–8: the segment-seeded ⊙ reduction over this chunk's words.
+      // A stage runs its chunks in ascending order, so every step's
+      // generator carries over from chunk c−1 exactly as one whole-range
+      // fold would draw it.
+      {[&](std::size_t c, ScratchArena& /*arena*/) {
+        const Shard shard = plan.chunk(c);
+        run_fold_steps(fold_steps_, fold_rngs_, signs_, shard.word_begin(),
+                       shard.num_words());
+      }},
+      // Lines 9–10: g_t = eta_s · sign-vector; c_{t+1}^{(m)} = g_t^{(m)} − g_t.
+      {[&](std::size_t c, ScratchArena& /*arena*/) {
+        const Shard shard = plan.chunk(c);
+        const std::size_t n = shard.size();
+        const auto out_chunk = out.subspan(shard.begin, n);
+        kernels::unpack_signs_words(
+            signs_.front().words().subspan(shard.word_begin(),
+                                           shard.num_words()),
+            options_.eta_s, out_chunk);
+        if (options_.use_compensation) {
+          for (const std::size_t w : active) {
+            sub(adjusted_[w].span().subspan(shard.begin, n), out_chunk,
+                compensation_[w].span().subspan(shard.begin, n));
+          }
+        }
+      }},
+  };
+  run_chunk_pipeline(strategy_pool(config_), plan.num_chunks(), stages);
 
   result.timing = mar_timing(d, marsit_wire(config_.cost_model),
                              &result.chunk_stages);

@@ -24,6 +24,8 @@
 #include "ckpt/snapshot.hpp"
 #include "collectives/aggregators.hpp"
 #include "collectives/timing.hpp"
+#include "core/paradigm.hpp"
+#include "core/segmented_fold.hpp"
 #include "net/cost_model.hpp"
 #include "net/fault_plan.hpp"
 #include "net/network_sim.hpp"
@@ -34,33 +36,13 @@ namespace marsit {
 
 class ThreadPool;
 
-/// Which synchronization fabric carries the update.  kTree is the paper's
-/// claimed extension target ("easily extended to ... tree all-reduce"): the
-/// weighted ⊙ operator folds binomial-tree merges exactly like torus ones.
-enum class MarParadigm { kRing, kTorus2d, kParameterServer, kTree };
-
-const char* mar_paradigm_name(MarParadigm paradigm);
-
-/// How a one-bit Marsit round traverses the fabric.
-///
-///   kLegacyAllGather  every rank gathers all M sign vectors and folds
-///                     locally along ONE sequential rng stream
-///                     (marsit_chunk_rng) — M(M−1)·D bits on a real wire.
-///                     This is the historical mode and reproduces the
-///                     committed goldens byte-for-byte.
-///   kReduceScatter    the paper's schedule: per-segment independently
-///                     seeded fold chains (core/segmented_fold.hpp) let each
-///                     rank fold only the segments it owns, so the wire
-///                     carries 2(M−1)·D bits.  Digests differ from legacy
-///                     mode (different rng discipline) but are identical
-///                     across trainer / simulator / socket backends.
-///
-/// Full-precision flush rounds use the all-gather data plane in BOTH modes:
-/// float summation is order-sensitive, so the flush keeps the single
-/// local-mean ordering everywhere.
-enum class SyncMode { kLegacyAllGather, kReduceScatter };
-
-const char* sync_mode_name(SyncMode mode);
+/// Marsit one-bit rounds have a single data plane: the paper's reduce-
+/// scatter schedule, folded with segment-seeded rng chains
+/// (core/segmented_fold.hpp) at 2(M−1)·D bits on the wire.  This enum, and
+/// the SyncConfig / WorkerConfig fields holding it, are read by no code; they
+/// remain only because the wall-clock benchmark sets them, and can go with
+/// the benchmark's next change.
+enum class SyncMode { kReduceScatter };
 
 struct SyncConfig {
   std::size_t num_workers = 0;
@@ -68,10 +50,8 @@ struct SyncConfig {
   /// Required when paradigm == kTorus2d; rows*cols must equal num_workers.
   std::size_t torus_rows = 0;
   std::size_t torus_cols = 0;
-  /// One-bit round data plane + rng discipline (see SyncMode).  Part of the
-  /// deterministic geometry: changing it changes the fold's rng streams, so
-  /// digests are only comparable between runs with equal modes.
-  SyncMode sync_mode = SyncMode::kLegacyAllGather;
+  /// Unread; see SyncMode.
+  SyncMode sync_mode = SyncMode::kReduceScatter;
   CostModel cost_model;
   std::uint64_t seed = 1;
   /// Sign-sum baselines: Elias-γ recode the growing messages (the paper
@@ -86,8 +66,10 @@ struct SyncConfig {
   /// payload size and shard_chunk_elements (see parallel/shard.hpp).
   ThreadPool* pool = nullptr;
   /// Elements per sharded chunk (rounded up to whole 64-bit sign words).
-  /// Part of the deterministic geometry: changing it changes the per-chunk
-  /// RNG streams, so treat it as a tuning constant, not a runtime knob.
+  /// Part of the majority strategies' deterministic geometry: their
+  /// per-chunk RNG streams follow it, so treat it as a tuning constant, not
+  /// a runtime knob.  Marsit's output does not depend on it — its fold's
+  /// streams follow the fabric segments, not the chunks.
   std::size_t shard_chunk_elements = std::size_t{1} << 16;
   /// Price each round as a chunked compute/comm overlap pipeline: chunk i+1
   /// packs while chunk i is in flight and chunk i−1 folds, composing as
@@ -352,27 +334,6 @@ class CascadingSync final : public SyncStrategy {
                                 std::span<float> out) override;
 };
 
-/// Per-chunk rng stream of a sharded Marsit round.  Chunk 0 continues the
-/// round stream itself — a payload that fits in one chunk therefore consumes
-/// rng exactly like the original serial implementation (bit-identical
-/// outputs) — and later chunks split off independent derived streams.
-/// Shared by MarsitSync and the distributed worker (src/dist), which must
-/// replay the identical stream to stay digest-equal with the simulator.
-Rng marsit_chunk_rng(std::uint64_t round_seed, std::size_t chunk_index);
-
-/// Folds the word range [word_begin, word_begin + num_words) of the first
-/// `count` sign vectors with the weighted ⊙ operator, following `paradigm`'s
-/// reduction structure (sequential chain on the ring; row folds then
-/// weighted column merges on the torus, shaped by `torus_cols`; binomial
-/// level merges on the tree).  Mutates `signs` in place — they are per-round
-/// scratch — and leaves the aggregate in signs.front().  This is the exact
-/// reduction MarsitSync runs; the distributed worker calls it with the same
-/// rng stream so both backends produce bit-identical aggregates.
-void marsit_fold_signs_words(MarParadigm paradigm, std::size_t torus_cols,
-                             std::vector<BitVector>& signs, std::size_t count,
-                             std::size_t word_begin, std::size_t num_words,
-                             Rng& rng);
-
 /// Marsit (paper Algorithm 1): one-bit ⊙ aggregation with global
 /// compensation, full-precision synchronization every K rounds.
 struct MarsitOptions {
@@ -421,21 +382,16 @@ class MarsitSync final : public SyncStrategy {
                                 std::span<float> out) override;
   void on_flush_rejoin(std::size_t worker) override;
 
-  /// Delegates to marsit_fold_signs_words with this strategy's configured
-  /// paradigm and torus shape.  On degraded rounds `count` is the survivor
-  /// count and the fold re-forms over them — the torus becomes ragged rows
-  /// of torus_cols survivors whose row aggregates merge with their true
-  /// accumulated weights, which the weighted ⊙ operator keeps unbiased for
-  /// any shape.  The sharded pipeline calls this once per chunk with that
-  /// chunk's own rng stream.
-  void fold_signs_words(std::vector<BitVector>& signs, std::size_t count,
-                        std::size_t word_begin, std::size_t num_words,
-                        Rng& rng) const;
-
   MarsitOptions options_;
   std::vector<Tensor> compensation_;  // per-worker c_t, lazily sized
   std::vector<Tensor> adjusted_;      // u_m + c_m scratch, lazily sized
   std::vector<BitVector> signs_;      // per-worker packed signs scratch
+  // The fold's step list, cached per (survivors, sign words), and one
+  // generator per step, re-seeded in place every one-bit round.
+  std::vector<FoldStep> fold_steps_;
+  std::size_t fold_survivors_ = 0;
+  std::size_t fold_words_ = 0;
+  std::vector<Rng> fold_rngs_;
 };
 
 // --- factory ------------------------------------------------------------------

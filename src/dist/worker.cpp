@@ -13,7 +13,6 @@
 #include "core/segmented_fold.hpp"
 #include "net/network_sim.hpp"
 #include "nn/loss.hpp"
-#include "parallel/shard.hpp"
 #include "sim/trainer.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -151,7 +150,7 @@ void all_gather_blobs(Transport& transport, const WorkerConfig& config,
   }
 }
 
-// --- reduce-scatter data planes (SyncMode::kReduceScatter, one-bit rounds) --
+// --- reduce-scatter data planes (one-bit rounds) ---------------------------
 //
 // Every schedule below carries exactly 2(M−1)·W words of payload per round
 // (W = sign words) and folds with the segment-seeded rng discipline of
@@ -159,63 +158,85 @@ void all_gather_blobs(Transport& transport, const WorkerConfig& config,
 // trainer's marsit_fold_signs_segmented.  Zero-length segments (W < M) are
 // skipped on both ends — no frame, no rng.
 
-/// Ring: reduce-scatter over the word_segment(W, M, ·) partition, then
-/// all-gather of the finalized segments.  At RS step t this rank sends its
-/// partial of segment (r−t) mod M rightward and folds the arriving partial
-/// of segment (r−t−1) mod M — op t of that segment's chain — into its own
-/// words; after M−1 steps it owns segment (r+1) mod M at weight M.
+/// One ring reduce-scatter pass over `len` members, this rank at position
+/// `pos` with neighbours `right` and `left`.  `own` (this rank's words of
+/// the reduced region) splits into word_segment(own.size(), len, ·); at step
+/// t this rank sends its partial of segment (pos−t) mod len rightward and
+/// folds the arriving partial of segment (pos−t−1) mod len into its own
+/// words — op t of that segment's chain, seed id seed_base + segment,
+/// weights ((t+1)·unit, unit).  Returns the finalized segment (pos+1) mod
+/// len, which then stands for len·unit workers.
+std::vector<std::uint64_t> ring_reduce_scatter(
+    Transport& transport, std::size_t right, std::size_t left,
+    std::size_t pos, std::size_t len, std::uint32_t tag,
+    std::span<const std::uint64_t> own, std::uint64_t round_seed,
+    std::size_t seed_base, std::size_t unit, double& sent_bytes) {
+  const std::size_t num_words = own.size();
+  std::vector<std::uint64_t> partial;
+  std::vector<std::uint64_t> incoming;
+  for (std::size_t t = 0; t + 1 < len; ++t) {
+    const WordSegment ss = word_segment(num_words, len, (pos + len - t) % len);
+    if (t == 0) {
+      const auto first = own.subspan(ss.begin, ss.count);
+      partial.assign(first.begin(), first.end());
+    }
+    if (ss.count > 0) {
+      send_words(transport, right, tag, partial, sent_bytes);
+    }
+    const std::size_t recv_seg = (pos + 2 * len - t - 1) % len;
+    const WordSegment rs = word_segment(num_words, len, recv_seg);
+    incoming.resize(rs.count);
+    if (rs.count > 0) {
+      recv_words(transport, left, tag, incoming);
+      Rng rng = segment_op_rng(
+          segment_fold_seed(round_seed, seed_base + recv_seg), t);
+      one_bit_combine_words(incoming, (t + 1) * unit,
+                            own.subspan(rs.begin, rs.count), unit, rng);
+    }
+    partial = std::move(incoming);
+    incoming = {};
+  }
+  return partial;
+}
+
+/// The matching all-gather pass: on entry `words` holds this rank's
+/// finalized segment (pos+1) mod len of word_segment(words.size(), len, ·);
+/// on exit it holds every segment.
+void ring_all_gather_words(Transport& transport, std::size_t right,
+                           std::size_t left, std::size_t pos, std::size_t len,
+                           std::uint32_t tag, std::span<std::uint64_t> words,
+                           double& sent_bytes) {
+  for (std::size_t t = 0; t + 1 < len; ++t) {
+    const WordSegment ss =
+        word_segment(words.size(), len, (pos + 1 + 2 * len - t) % len);
+    if (ss.count > 0) {
+      send_words(transport, right, tag, words.subspan(ss.begin, ss.count),
+                 sent_bytes);
+    }
+    const WordSegment rs =
+        word_segment(words.size(), len, (pos + 2 * len - t) % len);
+    if (rs.count > 0) {
+      recv_words(transport, left, tag, words.subspan(rs.begin, rs.count));
+    }
+  }
+}
+
+/// Ring: reduce-scatter over the word_segment(W, M, ·) partition (seed id =
+/// segment), then all-gather of the finalized segments.
 void ring_rs_ag(Transport& transport, std::uint32_t tag,
                 std::span<const std::uint64_t> own,
                 std::span<std::uint64_t> result, std::uint64_t round_seed,
                 double& sent_bytes) {
   const std::size_t m = transport.world_size();
   const std::size_t r = transport.rank();
-  const std::size_t num_words = own.size();
   const std::size_t right = (r + 1) % m;
   const std::size_t left = (r + m - 1) % m;
-  std::vector<std::uint64_t> partial;
-  std::vector<std::uint64_t> incoming;
-  for (std::size_t t = 0; t + 1 < m; ++t) {
-    const std::size_t send_seg = (r + m - t) % m;
-    const WordSegment ss = word_segment(num_words, m, send_seg);
-    if (t == 0) {
-      partial.assign(own.begin() + static_cast<std::ptrdiff_t>(ss.begin),
-                     own.begin() +
-                         static_cast<std::ptrdiff_t>(ss.begin + ss.count));
-    }
-    if (ss.count > 0) {
-      send_words(transport, right, tag, partial, sent_bytes);
-    }
-    const std::size_t recv_seg = (r + 2 * m - t - 1) % m;
-    const WordSegment rs = word_segment(num_words, m, recv_seg);
-    incoming.resize(rs.count);
-    if (rs.count > 0) {
-      recv_words(transport, left, tag, incoming);
-      Rng rng = segment_op_rng(segment_fold_seed(round_seed, recv_seg), t);
-      one_bit_combine_words(incoming, t + 1, own.subspan(rs.begin, rs.count),
-                            1, rng);
-    }
-    partial = std::move(incoming);
-    incoming = {};
-  }
-  const std::size_t fin = (r + 1) % m;
-  const WordSegment fs = word_segment(num_words, m, fin);
-  std::copy(partial.begin(), partial.end(),
-            result.begin() + static_cast<std::ptrdiff_t>(fs.begin));
-  const std::uint32_t ag_tag = tag + 1u;
-  for (std::size_t t = 0; t + 1 < m; ++t) {
-    const std::size_t send_seg = (r + 1 + 2 * m - t) % m;
-    const WordSegment ss = word_segment(num_words, m, send_seg);
-    if (ss.count > 0) {
-      send_words(transport, right, ag_tag, result.subspan(ss.begin, ss.count),
-                 sent_bytes);
-    }
-    const std::size_t recv_seg = (r + 2 * m - t) % m;
-    const WordSegment rs = word_segment(num_words, m, recv_seg);
-    if (rs.count > 0) {
-      recv_words(transport, left, ag_tag, result.subspan(rs.begin, rs.count));
-    }
-  }
+  const std::vector<std::uint64_t> fin = ring_reduce_scatter(
+      transport, right, left, r, m, tag, own, round_seed, 0, 1, sent_bytes);
+  const WordSegment fs = word_segment(own.size(), m, (r + 1) % m);
+  std::copy(fin.begin(), fin.end(), result.subspan(fs.begin).begin());
+  ring_all_gather_words(transport, right, left, r, m, tag + 1u, result,
+                        sent_bytes);
 }
 
 /// Torus: the ring's two phases per dimension.  Phase A row-reduce-scatters
@@ -234,120 +255,38 @@ void torus_rs_ag(Transport& transport, const WorkerConfig& config,
   const std::size_t rank = transport.rank();
   const std::size_t row = rank / cols;
   const std::size_t col = rank % cols;
-  const std::size_t num_words = own.size();
   const std::size_t row_right = row * cols + (col + 1) % cols;
   const std::size_t row_left = row * cols + (col + cols - 1) % cols;
   const std::size_t col_down = ((row + 1) % rows) * cols + col;
   const std::size_t col_up = ((row + rows - 1) % rows) * cols + col;
 
-  // Phase A — row reduce-scatter over `cols` segments.
-  std::vector<std::uint64_t> partial;
-  std::vector<std::uint64_t> incoming;
-  for (std::size_t t = 0; t + 1 < cols; ++t) {
-    const std::size_t send_seg = (col + cols - t) % cols;
-    const WordSegment ss = word_segment(num_words, cols, send_seg);
-    if (t == 0) {
-      partial.assign(own.begin() + static_cast<std::ptrdiff_t>(ss.begin),
-                     own.begin() +
-                         static_cast<std::ptrdiff_t>(ss.begin + ss.count));
-    }
-    if (ss.count > 0) {
-      send_words(transport, row_right, tag, partial, sent_bytes);
-    }
-    const std::size_t recv_seg = (col + 2 * cols - t - 1) % cols;
-    const WordSegment rs = word_segment(num_words, cols, recv_seg);
-    incoming.resize(rs.count);
-    if (rs.count > 0) {
-      recv_words(transport, row_left, tag, incoming);
-      Rng rng = segment_op_rng(
-          segment_fold_seed(round_seed, row * cols + recv_seg), t);
-      one_bit_combine_words(incoming, t + 1, own.subspan(rs.begin, rs.count),
-                            1, rng);
-    }
-    partial = std::move(incoming);
-    incoming = {};
-  }
-  // This rank now owns the whole-row aggregate (weight cols) of segment
-  // (col+1) mod cols.
-  const std::size_t seg_row = (col + 1) % cols;
-  const WordSegment seg_j = word_segment(num_words, cols, seg_row);
-  std::vector<std::uint64_t> row_agg = std::move(partial);
-  const std::span<const std::uint64_t> row_agg_span(row_agg);
-  partial = {};
-
-  // Phase B — column reduce-scatter of the row aggregate over `rows`
-  // sub-segments; every contribution stands for a whole row, so weights are
-  // multiples of cols.
-  for (std::size_t t = 0; t + 1 < rows; ++t) {
-    const std::size_t send_sub = (row + rows - t) % rows;
-    const WordSegment ss = word_segment(seg_j.count, rows, send_sub);
-    if (t == 0) {
-      partial.assign(
-          row_agg.begin() + static_cast<std::ptrdiff_t>(ss.begin),
-          row_agg.begin() + static_cast<std::ptrdiff_t>(ss.begin + ss.count));
-    }
-    if (ss.count > 0) {
-      send_words(transport, col_down, tag + 1u, partial, sent_bytes);
-    }
-    const std::size_t recv_sub = (row + 2 * rows - t - 1) % rows;
-    const WordSegment rs = word_segment(seg_j.count, rows, recv_sub);
-    incoming.resize(rs.count);
-    if (rs.count > 0) {
-      recv_words(transport, col_up, tag + 1u, incoming);
-      Rng rng = segment_op_rng(
-          segment_fold_seed(round_seed, m + col * rows + recv_sub), t);
-      one_bit_combine_words(incoming, (t + 1) * cols,
-                            row_agg_span.subspan(rs.begin, rs.count), cols,
-                            rng);
-    }
-    partial = std::move(incoming);
-    incoming = {};
-  }
-
-  // Phase C — column all-gather of finalized sub-segments: this rank owns
-  // sub-segment (row+1) mod rows of its segment at weight M.
-  std::vector<std::uint64_t> seg_buf(seg_j.count);
-  const std::size_t fin_sub = (row + 1) % rows;
-  const WordSegment fsub = word_segment(seg_j.count, rows, fin_sub);
-  std::copy(partial.begin(), partial.end(),
-            seg_buf.begin() + static_cast<std::ptrdiff_t>(fsub.begin));
-  const std::span<std::uint64_t> seg_span(seg_buf);
-  for (std::size_t t = 0; t + 1 < rows; ++t) {
-    const std::size_t send_sub = (row + 1 + 2 * rows - t) % rows;
-    const WordSegment ss = word_segment(seg_j.count, rows, send_sub);
-    if (ss.count > 0) {
-      send_words(transport, col_down, tag + 2u,
-                 seg_span.subspan(ss.begin, ss.count), sent_bytes);
-    }
-    const std::size_t recv_sub = (row + 2 * rows - t) % rows;
-    const WordSegment rs = word_segment(seg_j.count, rows, recv_sub);
-    if (rs.count > 0) {
-      recv_words(transport, col_up, tag + 2u,
-                 seg_span.subspan(rs.begin, rs.count));
-    }
-  }
-
-  // Phase D — row all-gather of finalized segments.
-  std::copy(seg_buf.begin(), seg_buf.end(),
-            result.begin() + static_cast<std::ptrdiff_t>(seg_j.begin));
-  for (std::size_t t = 0; t + 1 < cols; ++t) {
-    const std::size_t send_seg = (col + 1 + 2 * cols - t) % cols;
-    const WordSegment ss = word_segment(num_words, cols, send_seg);
-    if (ss.count > 0) {
-      send_words(transport, row_right, tag + 3u,
-                 result.subspan(ss.begin, ss.count), sent_bytes);
-    }
-    const std::size_t recv_seg = (col + 2 * cols - t) % cols;
-    const WordSegment rs = word_segment(num_words, cols, recv_seg);
-    if (rs.count > 0) {
-      recv_words(transport, row_left, tag + 3u,
-                 result.subspan(rs.begin, rs.count));
-    }
-  }
+  // Phase A: this rank ends up owning the whole-row aggregate (weight cols)
+  // of segment (col+1) mod cols.
+  const std::vector<std::uint64_t> row_agg =
+      ring_reduce_scatter(transport, row_right, row_left, col, cols, tag, own,
+                          round_seed, row * cols, 1, sent_bytes);
+  // Phase B: every contribution stands for a whole row, so weights are
+  // multiples of cols; this rank finalizes sub-segment (row+1) mod rows of
+  // its segment at weight M.
+  const std::vector<std::uint64_t> fin =
+      ring_reduce_scatter(transport, col_down, col_up, row, rows, tag + 1u,
+                          row_agg, round_seed, m + col * rows, cols,
+                          sent_bytes);
+  const WordSegment seg = word_segment(own.size(), cols, (col + 1) % cols);
+  const std::span<std::uint64_t> seg_words =
+      result.subspan(seg.begin, seg.count);
+  const WordSegment sub = word_segment(seg.count, rows, (row + 1) % rows);
+  std::copy(fin.begin(), fin.end(), seg_words.subspan(sub.begin).begin());
+  // Phases C and D: column all-gather of the sub-segments, then row
+  // all-gather of the segments.
+  ring_all_gather_words(transport, col_down, col_up, row, rows, tag + 2u,
+                        seg_words, sent_bytes);
+  ring_all_gather_words(transport, row_right, row_left, col, cols, tag + 3u,
+                        result, sent_bytes);
 }
 
 /// Parameter server, colocated at rank 0: workers push their sign words up,
-/// the server chain-folds in rank order (segmented_chain_fold's discipline:
+/// the server chain-folds in rank order (the trainer fold's PS discipline:
 /// one whole-payload segment, one derived generator per hop) and broadcasts
 /// the aggregate — (M−1)·W words up + (M−1)·W down.
 void ps_rs_ag(Transport& transport, std::uint32_t tag,
@@ -471,14 +410,10 @@ RoundPrediction predict_round(const WorkerConfig& config, std::size_t m,
                               bool full_precision) {
   NetworkSim net(m, config.cost_model);
   std::vector<double> ready(m, 0.0);
-  const bool all_gather_plane =
-      full_precision || config.sync_mode == SyncMode::kLegacyAllGather;
   const double word_bytes =
       static_cast<double>(num_words * sizeof(std::uint64_t));
-  if (all_gather_plane) {
-    const double blob = full_precision
-                            ? static_cast<double>(d * sizeof(float))
-                            : word_bytes;
+  if (full_precision) {
+    const double blob = static_cast<double>(d * sizeof(float));
     if (config.paradigm == MarParadigm::kTorus2d) {
       const std::size_t rows = config.torus_rows;
       const std::size_t cols = config.torus_cols;
@@ -525,23 +460,19 @@ RoundPrediction predict_round(const WorkerConfig& config, std::size_t m,
     for (std::size_t r = 0; r < rows; ++r) {
       predict_ring_pass(net, row_members(r, cols), 0, seg_of, ready);
     }
-    for (std::size_t c = 0; c < cols; ++c) {
-      const WordSegment seg_j =
-          word_segment(num_words, cols, (c + 1) % cols);
-      const auto sub_of = [&](std::size_t i) {
-        return static_cast<double>(word_segment(seg_j.count, rows, i).count *
-                                   sizeof(std::uint64_t));
-      };
-      predict_ring_pass(net, col_members(c, rows, cols), 0, sub_of, ready);
-    }
-    for (std::size_t c = 0; c < cols; ++c) {
-      const WordSegment seg_j =
-          word_segment(num_words, cols, (c + 1) % cols);
-      const auto sub_of = [&](std::size_t i) {
-        return static_cast<double>(word_segment(seg_j.count, rows, i).count *
-                                   sizeof(std::uint64_t));
-      };
-      predict_ring_pass(net, col_members(c, rows, cols), 1, sub_of, ready);
+    // Column reduce-scatter (offset 0), then column all-gather (offset 1).
+    for (const std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        const WordSegment seg_j =
+            word_segment(num_words, cols, (c + 1) % cols);
+        const auto sub_of = [&](std::size_t i) {
+          return static_cast<double>(
+              word_segment(seg_j.count, rows, i).count *
+              sizeof(std::uint64_t));
+        };
+        predict_ring_pass(net, col_members(c, rows, cols), offset, sub_of,
+                          ready);
+      }
     }
     for (std::size_t r = 0; r < rows; ++r) {
       predict_ring_pass(net, row_members(r, cols), 1, seg_of, ready);
@@ -629,16 +560,16 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
     RoundReport report;
     report.round = t;
     report.full_precision = full_precision;
-    // Four tag streams per round: the reduce-scatter planes use +0..+3
-    // (ring RS/AG, the torus' four phases, PS/tree up/down); the legacy
-    // all-gather plane uses +0 and +1 (torus row/column rings).
+    // Four tag streams per round: the one-bit planes use +0..+3 (ring
+    // RS/AG, the torus' four phases, PS/tree up/down); the flush all-gather
+    // uses +0 and +1 (torus row/column rings).
     const std::uint32_t tag = static_cast<std::uint32_t>(t << 2);
     double sent_bytes = 0.0;
     const WallClock::time_point comm_start = WallClock::now();
 
     add(update.span(), compensation.span(), adjusted.span());
-    std::vector<std::vector<std::uint8_t>> gathered;
     if (full_precision) {
+      std::vector<std::vector<std::uint8_t>> gathered;
       all_gather_blobs(transport, config, tag,
                        bytes_of(adjusted.span().data(), d * sizeof(float)),
                        d * sizeof(float), gathered, sent_bytes);
@@ -663,50 +594,28 @@ WorkerResult run_marsit_worker(Transport& transport, const Dataset& dataset,
       BitVector own(d);
       kernels::pack_signs_words(adjusted.span(), own.words());
       const std::uint64_t round_seed = derive_seed(config.sync_seed, t);
-      if (config.sync_mode == SyncMode::kReduceScatter) {
-        BitVector folded(d);
-        switch (config.paradigm) {
-          case MarParadigm::kTorus2d:
-            torus_rs_ag(transport, config, tag, own.words(), folded.words(),
-                        round_seed, sent_bytes);
-            break;
-          case MarParadigm::kParameterServer:
-            ps_rs_ag(transport, tag, own.words(), folded.words(), round_seed,
+      BitVector folded(d);
+      switch (config.paradigm) {
+        case MarParadigm::kTorus2d:
+          torus_rs_ag(transport, config, tag, own.words(), folded.words(),
+                      round_seed, sent_bytes);
+          break;
+        case MarParadigm::kParameterServer:
+          ps_rs_ag(transport, tag, own.words(), folded.words(), round_seed,
+                   sent_bytes);
+          break;
+        case MarParadigm::kTree:
+          tree_rs_ag(transport, tag, own.words(), folded.words(), round_seed,
                      sent_bytes);
-            break;
-          case MarParadigm::kTree:
-            tree_rs_ag(transport, tag, own.words(), folded.words(),
-                       round_seed, sent_bytes);
-            break;
-          case MarParadigm::kRing:
-          default:
-            ring_rs_ag(transport, tag, own.words(), folded.words(),
-                       round_seed, sent_bytes);
-            break;
-        }
-        kernels::unpack_signs_words(folded.words(), config.options.eta_s,
-                                    global.span());
-      } else {
-        all_gather_blobs(
-            transport, config, tag,
-            bytes_of(own.words().data(), num_words * sizeof(std::uint64_t)),
-            num_words * sizeof(std::uint64_t), gathered, sent_bytes);
-        std::vector<BitVector> signs(m, BitVector(d));
-        for (std::size_t g = 0; g < m; ++g) {
-          std::memcpy(signs[g].words().data(), gathered[g].data(),
-                      num_words * sizeof(std::uint64_t));
-        }
-        const ShardPlan plan(d, config.shard_chunk_elements);
-        for (std::size_t c = 0; c < plan.num_chunks(); ++c) {
-          const Shard shard = plan.chunk(c);
-          Rng rng = marsit_chunk_rng(round_seed, c);
-          marsit_fold_signs_words(config.paradigm, config.torus_cols, signs,
-                                  m, shard.word_begin(), shard.num_words(),
-                                  rng);
-        }
-        kernels::unpack_signs_words(signs.front().words(),
-                                    config.options.eta_s, global.span());
+          break;
+        case MarParadigm::kRing:
+        default:
+          ring_rs_ag(transport, tag, own.words(), folded.words(), round_seed,
+                     sent_bytes);
+          break;
       }
+      kernels::unpack_signs_words(folded.words(), config.options.eta_s,
+                                  global.span());
       if (config.options.use_compensation) {
         sub(adjusted.span(), global.span(), compensation.span());
       }

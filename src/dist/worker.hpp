@@ -9,28 +9,20 @@
 // determinism contract tests/dist_cross_backend_test pins via FNV-1a param
 // digests.
 //
-// Two data planes carry one-bit rounds (WorkerConfig::sync_mode):
+// One-bit rounds run the paper's schedule at the paper's wire volume:
+// per-segment independently seeded fold chains (core/segmented_fold.hpp)
+// let each rank fold only the segments it owns, so a ring round moves
+// exactly 2(M−1)·D sign bits — reduce-scatter then all-gather.  The torus
+// runs the same two phases per dimension (row RS, column RS, column AG, row
+// AG); the parameter server folds at a colocated rank-0 server and
+// broadcasts; the binomial tree reduces up and broadcasts down.  All four
+// total 2(M−1)·D payload bits per one-bit round.
 //
-//   SyncMode::kLegacyAllGather  all ranks gather every sign vector along the
-//     topology and run the identical sequential-stream fold locally
-//     (marsit_fold_signs_words with marsit_chunk_rng) — M(M−1)·D sign bits
-//     on the wire.  Kept for golden compatibility.
-//
-//   SyncMode::kReduceScatter  the paper's schedule at the paper's wire
-//     volume: per-segment independently seeded fold chains
-//     (core/segmented_fold.hpp) let each rank fold only the segments it
-//     owns, so a ring round moves exactly 2(M−1)·D sign bits — reduce-
-//     scatter then all-gather.  The torus runs the same two phases per
-//     dimension (row RS, column RS, column AG, row AG); the parameter
-//     server folds at a colocated rank-0 server and broadcasts; the
-//     binomial tree reduces up and broadcasts down.  All four total
-//     2(M−1)·D payload bits per one-bit round.
-//
-// Full-precision flush rounds use the all-gather plane in both modes (float
-// summation is order-sensitive, so the flush keeps the single local-mean
-// ordering everywhere); for the PS and tree paradigms the all-gather plane
-// routes over the ring — the fold structure, not the gather route, is what
-// distinguishes those paradigms' aggregates.
+// Full-precision flush rounds all-gather every rank's float update instead
+// (float summation is order-sensitive, so the flush keeps the single
+// local-mean ordering everywhere); for the PS and tree paradigms that
+// all-gather routes over the ring — the fold structure, not the gather
+// route, is what distinguishes those paradigms' aggregates.
 //
 // The α–β prediction reported per round replays the exact hop schedule this
 // backend ran on a fresh NetworkSim, so RoundReport::total_wire_bits equals
@@ -68,15 +60,11 @@ struct WorkerConfig {
   MarParadigm paradigm = MarParadigm::kRing;
   std::size_t torus_rows = 0;
   std::size_t torus_cols = 0;
-  /// One-bit data plane + rng discipline; must match the simulator run being
-  /// compared against (SyncConfig::sync_mode — the fold's rng streams differ
-  /// between modes).
-  SyncMode sync_mode = SyncMode::kLegacyAllGather;
+  /// Unread; see SyncMode.
+  SyncMode sync_mode = SyncMode::kReduceScatter;
   MarsitOptions options;
-  /// SyncConfig::shard_chunk_elements — the legacy fold's chunk grid.  Must
-  /// match the simulator run being compared against (the per-chunk rng
-  /// streams depend on it); the default is SyncConfig's default.  Unused by
-  /// reduce-scatter rounds, whose rng grid is the fabric segment partition.
+  /// Unread: the fold's rng grid is the fabric segment partition, not a
+  /// chunk grid.  Remains only because the wall-clock benchmark sets it.
   std::size_t shard_chunk_elements = std::size_t{1} << 16;
   /// Prices the per-round α–β prediction reported next to measured
   /// wall-clock.
@@ -96,7 +84,7 @@ struct RoundReport {
   /// Payload bits ALL ranks put on the wire this round, from the same
   /// NetworkSim replay as predicted_comm_seconds.  Identical on every rank
   /// and bit-for-bit equal to the sum of per-rank wire_bits: 2(M−1)·D sign
-  /// bits on reduce-scatter one-bit rounds, M(M−1)·D on legacy ones.
+  /// bits on one-bit rounds.
   double total_wire_bits = 0.0;
 };
 

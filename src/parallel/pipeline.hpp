@@ -10,10 +10,13 @@
 //
 // Determinism: the wavefront changes only *when* a (stage, chunk) task runs,
 // never what it computes.  Chunks own disjoint word-aligned ranges of every
-// buffer they touch (parallel/shard.hpp) and each chunk derives its own RNG
-// stream, so any topological order of the task DAG — including the fully
-// sequential one the single-thread fast path takes — produces bit-identical
-// outputs.
+// buffer they touch (parallel/shard.hpp), so any topological order of the
+// task DAG — including the fully sequential one the single-thread fast path
+// takes — produces bit-identical outputs.  A stage's RNG state may be
+// per-chunk (the majority strategies derive one stream per chunk) or carried
+// from chunk c−1 to chunk c (Marsit's fold generators): every order runs a
+// stage's chunks in ascending order, so carried state sees the same sequence
+// either way.
 //
 // ScratchArena replaces the per-chunk heap allocations that used to live
 // inside the hot lambda (the `std::vector<std::uint64_t> scratch` of

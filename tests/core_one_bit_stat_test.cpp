@@ -7,13 +7,14 @@
 //   * a chi-square goodness-of-fit over *every* hop position m ∈ {2..16},
 //     for both disagreement branches (the incoming aggregate survives w.p.
 //     (m−1)/m; the local worker wins w.p. 1/m);
-//   * end-to-end unbiasedness of the full ring chain fold and the
-//     ragged-torus fold (the degraded-membership shape from
-//     MarsitSync::fold_signs_words) against the exact mean sign;
+//   * end-to-end unbiasedness of the full ring chain fold against the exact
+//     mean sign;
 //   * the same two families with the fold split across independently
 //     seeded segments (core/one_bit.hpp's segment_fold_seed /
 //     segment_op_rng — the reduce-scatter rng discipline), at segment
-//     counts {1, 2, 7, 64}, including the production segmented_ring_fold.
+//     counts {1, 2, 7, 64};
+//   * the production fold (marsit_fold_signs_segmented) on the full ring
+//     and torus and at the degraded-membership shapes MarsitSync re-forms.
 //
 // Every check is seeded and thresholded so loosely (|z| < 5.5, p > 1e−7)
 // that a correct implementation fails with probability < 1e−6 per run —
@@ -223,8 +224,8 @@ void check_fold_unbiased_by_trial(
   }
 }
 
-/// Single-stream adapter: one Rng drives every trial, as the legacy
-/// all-gather fold does.
+/// Single-stream adapter: one Rng drives every trial (a segment-seeded
+/// fold draws its round seed from it).
 void check_fold_unbiased(std::size_t m, std::size_t reps, int trials,
                          const std::function<BitVector(Rng&)>& fold,
                          std::uint64_t salt, const char* what) {
@@ -243,36 +244,32 @@ TEST(OneBitStatTest, FullRingFoldIsUnbiasedForMeanSign) {
       /*salt=*/0xb001, "ring chain fold");
 }
 
-TEST(OneBitStatTest, RaggedTorusFoldIsUnbiasedForMeanSign) {
-  // The degraded-torus shape from MarsitSync::fold_signs_words: 7 survivors
-  // re-form as rows of 3 (last row short), rows fold internally with weights
-  // 1..len, then whole-row aggregates merge into row 0 carrying their true
-  // accumulated weights.  Unbiasedness must hold for the ragged shape too.
-  const std::size_t m = 7;
-  const std::size_t cols = 3;
-  const std::size_t reps = 64;
-  const std::vector<BitVector> signs = ladder_signs(m, reps);
-  auto ragged_fold = [&signs, m, cols](Rng& rng) {
-    std::vector<BitVector> work = signs;  // fold mutates in place
-    std::size_t merged_weight = 0;
-    for (std::size_t base = 0; base < m; base += cols) {
-      const std::size_t len = std::min(cols, m - base);
-      for (std::size_t c = 1; c < len; ++c) {
-        one_bit_combine_words(work[base].words(), c,
-                              work[base + c].words(), 1, rng);
-      }
-      if (base == 0) {
-        merged_weight = len;
-      } else {
-        one_bit_combine_words(work[0].words(), merged_weight,
-                              work[base].words(), len, rng);
-        merged_weight += len;
-      }
-    }
-    return work[0];
+TEST(OneBitStatTest, DegradedTorusFoldIsUnbiasedForMeanSign) {
+  // The production fold at the degraded-membership shapes MarsitSync runs:
+  // 7 survivors of a 2×4 torus no longer fill two rows and re-form as a
+  // ring; 4 survivors of a 3×2 torus fill two rows and re-form as a 2×2
+  // torus.  Unbiasedness must hold for both re-formed fabrics.
+  struct Shape {
+    std::size_t survivors;
+    std::size_t cols;
+    std::uint64_t salt;
+    const char* what;
   };
-  check_fold_unbiased(m, reps, /*trials=*/400, ragged_fold,
-                      /*salt=*/0xb002, "ragged torus fold");
+  for (const Shape shape : {Shape{7, 4, 0xb002, "7 of 2x4 torus (ring)"},
+                            Shape{4, 2, 0xb003, "4 of 3x2 torus (2x2)"}}) {
+    const std::size_t reps = 64;
+    const std::vector<BitVector> signs = ladder_signs(shape.survivors, reps);
+    check_fold_unbiased(
+        shape.survivors, reps, /*trials=*/400,
+        [&signs, &shape](Rng& rng) {
+          std::vector<BitVector> work = signs;  // fold mutates in place
+          marsit_fold_signs_segmented(MarParadigm::kTorus2d, shape.cols, work,
+                                      work.size(), work[0].words().size(),
+                                      rng.next_u64());
+          return work[0];
+        },
+        shape.salt, shape.what);
+  }
 }
 
 TEST(OneBitStatTest, RandomGradientRingFoldMatchesExactMeanSign) {
@@ -322,9 +319,9 @@ TEST(OneBitStatTest, RandomGradientRingFoldMatchesExactMeanSign) {
 /// `segments` independently seeded slices: segment s's chain runs ops
 /// k = 0..m−2 with segment_op_rng(segment_fold_seed(round_seed, s), k) —
 /// the reduce-scatter discipline at an arbitrary segment count.
-BitVector segmented_chain_fold_trial(const std::vector<BitVector>& signs,
-                                     std::size_t segments,
-                                     std::uint64_t round_seed) {
+BitVector chain_fold_over_segments(const std::vector<BitVector>& signs,
+                                   std::size_t segments,
+                                   std::uint64_t round_seed) {
   std::vector<BitVector> work = signs;  // fold mutates in place
   const std::size_t num_words = work[0].words().size();
   for (std::size_t s = 0; s < segments; ++s) {
@@ -356,7 +353,7 @@ TEST(OneBitStatTest, SegmentSeededChainFoldIsUnbiasedForMeanSign) {
     check_fold_unbiased_by_trial(
         m, reps, /*trials=*/64,
         [&signs, segments, base](std::size_t trial) {
-          return segmented_chain_fold_trial(
+          return chain_fold_over_segments(
               signs, segments, derive_seed(base, trial));
         },
         "segment-seeded chain fold");
@@ -375,8 +372,9 @@ TEST(OneBitStatTest, ProductionSegmentedRingFoldIsUnbiasedForMeanSign) {
       m, reps, /*trials=*/64,
       [&signs, base](std::size_t trial) {
         std::vector<BitVector> work = signs;
-        segmented_ring_fold(work, work.size(), work[0].words().size(),
-                            derive_seed(base, trial));
+        marsit_fold_signs_segmented(MarParadigm::kRing, 0, work, work.size(),
+                                    work[0].words().size(),
+                                    derive_seed(base, trial));
         return work[0];
       },
       "production segmented ring fold");
@@ -393,10 +391,11 @@ TEST(OneBitStatTest, ProductionSegmentedTorusFoldIsUnbiasedForMeanSign) {
   const std::uint64_t base = derive_seed(stat_seed(), 0xb202);
   check_fold_unbiased_by_trial(
       m, reps, /*trials=*/64,
-      [&signs, rows, cols, base](std::size_t trial) {
+      [&signs, cols, base](std::size_t trial) {
         std::vector<BitVector> work = signs;
-        segmented_torus_fold(work, work.size(), rows, cols,
-                             work[0].words().size(), derive_seed(base, trial));
+        marsit_fold_signs_segmented(MarParadigm::kTorus2d, cols, work,
+                                    work.size(), work[0].words().size(),
+                                    derive_seed(base, trial));
         return work[0];
       },
       "production segmented torus fold");

@@ -2,7 +2,8 @@
 // and per-chunk rng streams depend only on (seed, round, payload geometry),
 // so every strategy must produce bit-identical outputs for any thread-pool
 // size.  Also pins signSGD-MV's sharded output to the serial scalar
-// reference (pack → sign-sum → majority → unpack).
+// reference (pack → sign-sum → majority → unpack), and Marsit's to the
+// whole-range segmented fold at every chunk size.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,7 +11,7 @@
 
 #include "compress/sign_codec.hpp"
 #include "compress/sign_sum.hpp"
-#include "core/one_bit.hpp"
+#include "core/segmented_fold.hpp"
 #include "core/sync_strategy.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -51,9 +52,11 @@ SyncConfig base_config(MarParadigm paradigm, ThreadPool* pool) {
 
 /// Runs kRounds synchronize() calls and returns the concatenated outputs.
 std::vector<float> run_rounds(SyncMethod method, MarParadigm paradigm,
-                              ThreadPool* pool, bool use_elias = false) {
+                              ThreadPool* pool, bool use_elias = false,
+                              std::size_t chunk = kChunk) {
   SyncConfig config = base_config(paradigm, pool);
   config.use_elias = use_elias;
+  config.shard_chunk_elements = chunk;
   config.elias_refresh_interval = 2;  // hit both refresh and cached rounds
   auto strategy = make_sync_strategy(method, config);
   std::vector<float> all;
@@ -74,7 +77,7 @@ void expect_bit_identical(const std::vector<float>& a,
                           const std::vector<float>& b, const char* label) {
   ASSERT_EQ(a.size(), b.size()) << label;
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
-      << label << ": outputs differ across pool sizes";
+      << label << ": outputs differ";
 }
 
 void check_pool_invariance(SyncMethod method, MarParadigm paradigm,
@@ -155,38 +158,40 @@ TEST(ShardedSyncTest, SignSgdMatchesScalarReference) {
       << "sharded signSGD-MV diverges from the scalar reference";
 }
 
-TEST(ShardedSyncTest, SingleChunkMatchesSerialRoundStream) {
-  // Chunk 0 continues the round stream, so a payload that fits in one chunk
-  // reproduces the original serial implementation's rng consumption —
-  // checked here by comparing a huge-chunk run against a Marsit fold done
-  // by hand with Rng(derive_seed(seed, round)).
+TEST(ShardedSyncTest, MarsitOutputIndependentOfChunkSize) {
+  // Marsit's fold generators follow the fabric segments and carry over from
+  // one chunk to the next, so the shard grid moves no bit of the output — a
+  // fold that restarted a step's rng at a chunk boundary diverges here.
+  // Round 0 is also pinned to the whole-range fold done by hand: the
+  // compensation is still zero, so it folds the raw inputs' signs.
   ThreadPool pool(2);
-  SyncConfig config = base_config(MarParadigm::kRing, &pool);
-  config.shard_chunk_elements = 1 << 20;  // whole payload in chunk 0
-  auto strategy = make_sync_strategy(SyncMethod::kMarsit, config);
+  for (const MarParadigm paradigm :
+       {MarParadigm::kRing, MarParadigm::kTorus2d}) {
+    const SyncConfig config = base_config(paradigm, &pool);
+    const auto inputs = make_inputs(0);
+    std::vector<BitVector> signs;
+    for (const auto& in : inputs) {
+      signs.push_back(pack_signs({in.data(), in.size()}));
+    }
+    marsit_fold_signs_segmented(paradigm, config.torus_cols, signs, kWorkers,
+                                signs.front().words().size(),
+                                derive_seed(config.seed, 0));
+    std::vector<float> expected(kDim);
+    unpack_signs(signs.front(), MethodOptions{}.eta_s,
+                 {expected.data(), expected.size()});
 
-  const auto inputs = make_inputs(0);
-  WorkerSpans spans;
-  for (const auto& in : inputs) {
-    spans.emplace_back(in.data(), in.size());
+    const std::vector<float> whole =
+        run_rounds(SyncMethod::kMarsit, paradigm, &pool, false, 1 << 20);
+    EXPECT_EQ(
+        std::memcmp(whole.data(), expected.data(), kDim * sizeof(float)), 0)
+        << mar_paradigm_name(paradigm)
+        << ": Marsit diverges from the by-hand segmented fold";
+    for (const std::size_t chunk : {std::size_t{64}, std::size_t{4096}}) {
+      expect_bit_identical(
+          run_rounds(SyncMethod::kMarsit, paradigm, &pool, false, chunk),
+          whole, mar_paradigm_name(paradigm));
+    }
   }
-  std::vector<float> out(kDim);
-  strategy->synchronize(spans, {out.data(), out.size()});
-
-  // Serial reference: round 0 compensation is zero, so the fold runs on the
-  // raw inputs with the round stream.
-  std::vector<BitVector> signs;
-  for (const auto& in : inputs) {
-    signs.push_back(pack_signs({in.data(), in.size()}));
-  }
-  Rng rng(derive_seed(config.seed, 0));
-  BitVector folded = one_bit_fold(signs, rng);
-  std::vector<float> expected(kDim);
-  unpack_signs(folded, MarsitOptions{}.eta_s,
-               {expected.data(), expected.size()});
-  EXPECT_EQ(
-      std::memcmp(out.data(), expected.data(), kDim * sizeof(float)), 0)
-      << "single-chunk Marsit diverges from the serial round stream";
 }
 
 }  // namespace
